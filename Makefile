@@ -84,12 +84,13 @@ bench-kernel:
 	$(GO) test -bench='BenchmarkAlignTile$$|BenchmarkAlignTileBitvector$$|BenchmarkGACTTile$$|BenchmarkDSOFTQuery$$|BenchmarkMapRead$$' -benchmem -run '^$$' .
 	@echo "report: BENCH_kernel.json"
 
-# The sharded scatter-gather engine under a ¼-index residency budget
-# (the bounded-memory worst case: every batch rebuilds evicted shards).
+# BenchmarkShardMap: the sharded scatter-gather engine under a ¼-index
+# residency budget (the bounded-memory worst case: every Map batch
+# rebuilds evicted shards).
 # Writes the BENCH_shard.json run report; diff two runs with
 # ./scripts/benchdiff.sh BENCH_shard_old.json BENCH_shard.json.
 bench-shard:
-	$(GO) test -bench='BenchmarkShardMapAll$$' -benchmem -run '^$$' .
+	$(GO) test -bench='BenchmarkShardMap$$' -benchmem -run '^$$' .
 	@echo "report: BENCH_shard.json"
 
 # MapRead under a live request span — the tracing-overhead guard's

@@ -139,7 +139,7 @@ func BenchmarkCorePipeline(b *testing.B) {
 	b.ResetTimer()
 	var cells int64
 	for i := 0; i < b.N; i++ {
-		results, err := engine.MapAll(seqs, 1)
+		results, err := engine.Map(context.Background(), seqs, core.WithWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,14 +237,14 @@ func BenchmarkMapReadTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkShardMapAll measures the sharded scatter-gather engine in
+// BenchmarkShardMap measures the sharded scatter-gather engine in
 // its bounded-memory regime: an 8-shard index with a residency budget
-// of ~¼ the full seed table, so every MapAll batch rebuilds evicted
+// of ~¼ the full seed table, so every Map batch rebuilds evicted
 // shards (the worst case the shard-major batch order amortizes). It
 // writes the obs run report to BENCH_shard.json (`make bench-shard`);
 // scripts/benchdiff.sh diffs two such reports via the shared
 // core/reads counter.
-func BenchmarkShardMapAll(b *testing.B) {
+func BenchmarkShardMap(b *testing.B) {
 	g, err := genome.Generate(genome.Config{Length: 2_000_000, GC: 0.45, Seed: 83})
 	if err != nil {
 		b.Fatal(err)
@@ -271,7 +271,7 @@ func BenchmarkShardMapAll(b *testing.B) {
 	run := obs.NewRun("bench_shard")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.MapAll(seqs, 4); err != nil {
+		if _, err := engine.Map(context.Background(), seqs, core.WithWorkers(4)); err != nil {
 			b.Fatal(err)
 		}
 	}

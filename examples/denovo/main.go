@@ -68,7 +68,10 @@ func run() error {
 		return err
 	}
 	start = time.Now()
-	overlaps, stats := ovp.FindOverlaps(500)
+	overlaps, stats, err := ovp.Run(context.Background(), core.OverlapRun{MinOverlap: 500})
+	if err != nil {
+		return err
+	}
 	darwinTime := time.Since(start)
 	dConf := assembly.EvaluateOverlaps(reads, assembly.FromCoreOverlaps(overlaps), 1000, 0.8)
 

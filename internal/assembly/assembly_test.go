@@ -1,6 +1,7 @@
 package assembly
 
 import (
+	"context"
 	"testing"
 
 	"darwin/internal/baseline"
@@ -158,7 +159,10 @@ func TestEvaluateOverlapsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlaps, _ := ov.FindOverlaps(500)
+	overlaps, _, err := ov.Run(context.Background(), core.OverlapRun{MinOverlap: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := EvaluateOverlaps(reads, FromCoreOverlaps(overlaps), 1000, 0.8)
 	if c.Sensitivity() < 0.8 {
 		t.Errorf("darwin overlap sensitivity = %.2f (%+v), want ≥ 0.8", c.Sensitivity(), c)

@@ -33,17 +33,17 @@ func TestMapAllDefaultsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs := simReads(t, ref, 12, 312)
-	want, err := d.MapAll(seqs, 1)
+	want, err := d.Map(context.Background(), seqs, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, -3} {
-		got, err := d.MapAll(seqs, workers)
+		got, err := d.Map(context.Background(), seqs, WithWorkers(workers))
 		if err != nil {
-			t.Fatalf("MapAll(workers=%d): %v", workers, err)
+			t.Fatalf("Map(WithWorkers(%d)): %v", workers, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("MapAll(workers=%d): %d results, want %d", workers, len(got), len(want))
+			t.Fatalf("Map(WithWorkers(%d)): %d results, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
 			a, b := Best(got[i].Alignments), Best(want[i].Alignments)
@@ -81,8 +81,8 @@ func TestMapAllContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		if _, err := d.MapAllContext(ctx, seqs, workers); !errors.Is(err, context.Canceled) {
-			t.Errorf("MapAllContext(cancelled, workers=%d) = %v, want context.Canceled", workers, err)
+		if _, err := d.Map(ctx, seqs, WithWorkers(workers)); !errors.Is(err, context.Canceled) {
+			t.Errorf("Map(cancelled, WithWorkers(%d)) = %v, want context.Canceled", workers, err)
 		}
 	}
 }
@@ -108,10 +108,10 @@ func TestMapAllContextMidwayCancel(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err = d.MapAllContext(ctx, seqs, 2)
+	_, err = d.Map(ctx, seqs, WithWorkers(2))
 	<-done
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapAllContext after midway cancel = %v, want context.Canceled", err)
+		t.Fatalf("Map after midway cancel = %v, want context.Canceled", err)
 	}
 }
 

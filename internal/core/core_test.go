@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"darwin/internal/dna"
@@ -196,7 +197,10 @@ func TestOverlapperFindsTrueOverlaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlaps, stats := ov.FindOverlaps(500)
+	overlaps, stats, err := ov.Run(context.Background(), OverlapRun{MinOverlap: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(overlaps) == 0 {
 		t.Fatal("no overlaps found")
 	}

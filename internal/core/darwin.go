@@ -100,9 +100,8 @@ func DefaultConfig(k, n, h int) Config {
 //
 // The surface splits into three concerns:
 //
-//   - Mapping: Map is the primary batch entrypoint (context-first,
-//     functional options); MapRead maps a single read inline on the
-//     receiver. MapAll/MapAllContext remain for compatibility only.
+//   - Mapping: Map is the batch entrypoint (context-first, functional
+//     options); MapRead maps a single read inline on the receiver.
 //   - Concurrency: CloneMapper derives an engine that shares the
 //     immutable index (seed tables, reference bytes) but owns private
 //     mutable scratch — D-SOFT bin state, GACT traceback, candidate
@@ -123,14 +122,6 @@ type Mapper interface {
 	// failures land in MapResult.Err; batch-level failures (cancelled
 	// context) are returned as the error.
 	Map(ctx context.Context, reads []dna.Seq, options ...MapOption) ([]MapResult, error)
-	// MapAll maps every read with the given worker parallelism.
-	//
-	// Deprecated: use Map with WithWorkers.
-	MapAll(reads []dna.Seq, workers int) ([]MapResult, error)
-	// MapAllContext is MapAll with cancellation between reads.
-	//
-	// Deprecated: use Map with WithWorkers.
-	MapAllContext(ctx context.Context, reads []dna.Seq, workers int) ([]MapResult, error)
 	// CloneMapper returns an engine sharing immutable index state but
 	// with private mutable scratch, safe for another goroutine.
 	CloneMapper() (Mapper, error)
@@ -330,18 +321,7 @@ func (s *MapStats) Add(o MapStats) { s.add(o) }
 func (d *Darwin) MapRead(q dna.Seq) ([]ReadAlignment, MapStats) {
 	endSpan := obs.Trace.Start("core.map_read")
 	start := time.Now()
-	var out []ReadAlignment
-	var stats MapStats
-	for _, rev := range []bool{false, true} {
-		query := q
-		if rev {
-			d.revBuf = dna.AppendRevComp(d.revBuf[:0], q)
-			query = d.revBuf
-		}
-		alns, st := d.mapStrand(query, rev)
-		out = append(out, alns...)
-		stats.add(st)
-	}
+	out, stats := d.mapStrands(q, nil, -1)
 	SortAlignments(out)
 	cReads.Inc()
 	cAlignments.Add(int64(len(out)))
@@ -354,46 +334,28 @@ func (d *Darwin) MapRead(q dna.Seq) ([]ReadAlignment, MapStats) {
 	return out, stats
 }
 
-// mapStrand runs the Fig. 6 pipeline for one oriented query.
-func (d *Darwin) mapStrand(query dna.Seq, rev bool) ([]ReadAlignment, MapStats) {
-	var stats MapStats
-	start := time.Now()
-	cands, dst := d.filter.QueryInto(query, d.cands[:0])
-	d.cands = cands
-	stats.DSOFT = dst
-	stats.Candidates = len(cands)
-	stats.FiltrationTime = time.Since(start)
+// refWindow maps a candidate's reference position to the target
+// segment it falls in and that segment's [lo, hi) bounds.
+type refWindow func(refPos int) (target, lo, hi int)
 
-	if d.cfg.MaxCandidates > 0 && len(cands) > d.cfg.MaxCandidates {
-		cands = cands[:d.cfg.MaxCandidates]
-	}
-
-	start = time.Now()
-	var out []ReadAlignment
-	for _, c := range cands {
-		res, gst, err := d.engine.Extend(d.ref, query, c.RefPos, c.QueryPos)
-		if err != nil {
-			continue // invalid anchor geometry; candidate is unusable
-		}
-		stats.Tiles += gst.Tiles
-		stats.Cells += gst.Cells
-		stats.FirstTileScores = append(stats.FirstTileScores, gst.FirstTileScore)
-		if res == nil {
-			continue
-		}
-		stats.PassedHTile++
-		out = append(out, ReadAlignment{Result: *res, Reverse: rev, FirstTileScore: gst.FirstTileScore})
-	}
-	stats.AlignmentTime = time.Since(start)
-	return out, stats
+// mapStrands runs mapStrand on the forward query, then on its reverse
+// complement, concatenating alignments in that order.
+func (d *Darwin) mapStrands(q dna.Seq, window refWindow, skipRead int) ([]ReadAlignment, MapStats) {
+	out, stats := d.mapStrand(q, false, window, skipRead)
+	d.revBuf = dna.AppendRevComp(d.revBuf[:0], q)
+	alns, st := d.mapStrand(d.revBuf, true, window, skipRead)
+	stats.add(st)
+	return append(out, alns...), stats
 }
 
-// mapStrandClipped is mapStrand with each candidate's GACT extension
-// restricted to a reference window: window(refPos) returns the target
-// segment id and its [lo, hi) bounds; candidates whose target equals
-// skipRead are dropped (a read's trivial self-hit in the de novo
-// concatenated reference). Returned coordinates are global.
-func (d *Darwin) mapStrandClipped(query dna.Seq, rev bool, window func(refPos int) (int, int, int), skipRead int) ([]ReadAlignment, MapStats) {
+// mapStrand runs the Fig. 6 pipeline for one oriented query: D-SOFT
+// candidates, then a GACT extension from each. A nil window extends
+// over the whole reference (read mapping). Otherwise each extension
+// is clipped to the segment window returns for its candidate, and
+// candidates whose target equals skipRead are dropped (a read's
+// trivial self-hit in the de novo concatenated reference). Returned
+// coordinates are global.
+func (d *Darwin) mapStrand(query dna.Seq, rev bool, window refWindow, skipRead int) ([]ReadAlignment, MapStats) {
 	var stats MapStats
 	start := time.Now()
 	cands, dst := d.filter.QueryInto(query, d.cands[:0])
@@ -408,14 +370,18 @@ func (d *Darwin) mapStrandClipped(query dna.Seq, rev bool, window func(refPos in
 
 	start = time.Now()
 	var out []ReadAlignment
+	lo, hi := 0, len(d.ref)
 	for _, c := range cands {
-		target, lo, hi := window(c.RefPos)
-		if target == skipRead || c.RefPos >= hi {
-			continue
+		if window != nil {
+			var target int
+			target, lo, hi = window(c.RefPos)
+			if target == skipRead || c.RefPos >= hi {
+				continue
+			}
 		}
 		res, gst, err := d.engine.Extend(d.ref[lo:hi], query, c.RefPos-lo, c.QueryPos)
 		if err != nil {
-			continue
+			continue // invalid anchor geometry; candidate is unusable
 		}
 		stats.Tiles += gst.Tiles
 		stats.Cells += gst.Cells

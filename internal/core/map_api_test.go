@@ -3,59 +3,12 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"darwin/internal/faults"
 )
-
-// zeroStatTimes clears the wall-clock stat fields so result sets from
-// different runs can be compared with DeepEqual: FiltrationTime and
-// AlignmentTime vary run to run even when the work is bit-identical.
-func zeroStatTimes(results []MapResult) {
-	for i := range results {
-		results[i].Stats.FiltrationTime = 0
-		results[i].Stats.AlignmentTime = 0
-	}
-}
-
-// TestMapWrappersBitIdentical is the deprecation contract: MapAll and
-// MapAllContext must be pure wrappers over Map — bit-identical
-// alignments, stats (modulo wall-clock fields), indices, and errors —
-// across worker counts, so migrating a caller can never change output.
-func TestMapWrappersBitIdentical(t *testing.T) {
-	ref := testGenome(t, 120000, 401)
-	d, err := New(ref, DefaultConfig(11, 500, 19))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := simReads(t, ref, 10, 402)
-	for _, workers := range []int{1, 3} {
-		want, err := d.Map(context.Background(), seqs, WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaMapAll, err := d.MapAll(seqs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaCtx, err := d.MapAllContext(context.Background(), seqs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zeroStatTimes(want)
-		zeroStatTimes(viaMapAll)
-		zeroStatTimes(viaCtx)
-		if !reflect.DeepEqual(viaMapAll, want) {
-			t.Errorf("workers=%d: MapAll diverges from Map", workers)
-		}
-		if !reflect.DeepEqual(viaCtx, want) {
-			t.Errorf("workers=%d: MapAllContext diverges from Map", workers)
-		}
-	}
-}
 
 // TestMapPanicIsolation: an injected panic while mapping one read must
 // surface as that read's MapResult.Err — the batch completes and every

@@ -108,24 +108,14 @@ func (o *Overlapper) readAt(p int) int {
 	return i
 }
 
-// FindOverlaps queries every read against the concatenated reference
-// and returns deduplicated overlaps of at least minOverlap bases.
-// Each GACT extension is clipped to the segment of the read its
-// candidate falls in: N padding contributes nothing to scores (the
-// hardware's Σext semantics), so an unclipped extension would silently
-// bridge adjacent reads and misattribute the overlap.
-func (o *Overlapper) FindOverlaps(minOverlap int) ([]Overlap, OverlapStats) {
-	out, stats, _ := o.FindOverlapsContext(context.Background(), minOverlap)
-	return out, stats
-}
-
-// FindOverlapsContext is FindOverlaps with cooperative cancellation:
-// ctx is checked between reads (each read is the unit of work, so
-// cancellation latency is one read's overlap pass). On cancellation it
-// returns the overlaps found so far together with ctx.Err(), so a
-// partial run still yields usable output.
-func (o *Overlapper) FindOverlapsContext(ctx context.Context, minOverlap int) ([]Overlap, OverlapStats, error) {
-	return o.FindOverlapsResumable(ctx, minOverlap, nil, 0, nil)
+// readWindow is the refWindow of the concatenated reference: the read
+// containing refPos and its unpadded span. Clipping each GACT
+// extension to it keeps N padding (which contributes nothing to
+// scores, the hardware's Σext semantics) from bridging adjacent reads
+// and misattributing the overlap.
+func (o *Overlapper) readWindow(refPos int) (target, lo, hi int) {
+	t := o.readAt(refPos)
+	return t, o.offsets[t], o.offsets[t] + len(o.reads[t])
 }
 
 // OverlapCheckpoint is a resumable snapshot of an overlap pass taken
@@ -139,7 +129,7 @@ type OverlapCheckpoint struct {
 	// NextRead is the first read index not yet processed.
 	NextRead int
 	// Overlaps is the deduplicated best-so-far set, in the same
-	// canonical order FindOverlaps returns.
+	// canonical order Run returns.
 	Overlaps []Overlap
 }
 
@@ -156,23 +146,6 @@ type overlapKey struct {
 func keyOf(ov *Overlap) overlapKey {
 	lo, hi := ov.Pair()
 	return overlapKey{lo, hi, ov.QueryRev}
-}
-
-// FindOverlapsResumable is FindOverlapsContext with checkpointing:
-// when resume is non-nil, reads below resume.NextRead are skipped and
-// the deduplication state is rebuilt from resume.Overlaps; when save
-// is non-nil it receives a fresh checkpoint every `every` reads (and
-// once more on cancellation, so an interrupted pass always leaves its
-// latest read boundary behind). A non-nil error from save aborts the
-// pass — callers that want best-effort checkpointing swallow the
-// error in the callback.
-func (o *Overlapper) FindOverlapsResumable(ctx context.Context, minOverlap int, resume *OverlapCheckpoint, every int, save func(OverlapCheckpoint) error) ([]Overlap, OverlapStats, error) {
-	return o.Run(ctx, OverlapRun{
-		MinOverlap:      minOverlap,
-		Resume:          resume,
-		CheckpointEvery: every,
-		Save:            save,
-	})
 }
 
 // OverlapRun configures one overlap pass: the reporting threshold plus
@@ -196,9 +169,17 @@ type OverlapRun struct {
 	Progress func(done, total int)
 }
 
-// Run executes the overlap pass described by r. Stats cover only the
-// reads processed by this call: a resumed pass reports the remaining
-// work, not the pre-checkpoint history.
+// Run is the overlap pass: it queries every read (both strands)
+// against the concatenated reference and returns the deduplicated
+// overlaps of at least r.MinOverlap bases, in canonical order. Each
+// GACT extension is clipped to the read its candidate falls in (see
+// readWindow).
+//
+// ctx is checked between reads, so cancellation latency is one read's
+// pass; on cancellation Run returns the overlaps found so far together
+// with ctx.Err(). Stats cover only the reads processed by this call: a
+// resumed pass reports the remaining work, not the pre-checkpoint
+// history.
 func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapStats, error) {
 	stats := OverlapStats{TableBuildTime: o.darwin.TableBuildTime}
 	var ctxErr error
@@ -233,37 +214,28 @@ func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapS
 			break
 		}
 		endSpan := obs.Trace.Start("overlap.read")
-		for _, rev := range []bool{false, true} {
-			query := o.reads[q]
-			if rev {
-				query = dna.RevComp(query)
+		alns, st := o.darwin.mapStrands(o.reads[q], o.readWindow, q)
+		stats.Map.add(st)
+		for _, a := range alns {
+			target := o.readAt(a.Result.RefStart)
+			tStart := a.Result.RefStart - o.offsets[target]
+			tEnd := min(a.Result.RefEnd-o.offsets[target], len(o.reads[target]))
+			if tEnd-tStart < minOverlap {
+				continue
 			}
-			alns, st := o.darwin.mapStrandClipped(query, rev, func(refPos int) (int, int, int) {
-				t := o.readAt(refPos)
-				return t, o.offsets[t], o.offsets[t] + len(o.reads[t])
-			}, q)
-			stats.Map.add(st)
-			for _, a := range alns {
-				target := o.readAt(a.Result.RefStart)
-				tStart := a.Result.RefStart - o.offsets[target]
-				tEnd := min(a.Result.RefEnd-o.offsets[target], len(o.reads[target]))
-				if tEnd-tStart < minOverlap {
-					continue
-				}
-				ov := Overlap{
-					Target:      target,
-					Query:       q,
-					QueryRev:    a.Reverse,
-					TargetStart: tStart,
-					TargetEnd:   tEnd,
-					QueryStart:  a.Result.QueryStart,
-					QueryEnd:    a.Result.QueryEnd,
-					Score:       a.Result.Score,
-				}
-				k := keyOf(&ov)
-				if cur, ok := best[k]; !ok || ov.Score > cur.Score {
-					best[k] = ov
-				}
+			ov := Overlap{
+				Target:      target,
+				Query:       q,
+				QueryRev:    a.Reverse,
+				TargetStart: tStart,
+				TargetEnd:   tEnd,
+				QueryStart:  a.Result.QueryStart,
+				QueryEnd:    a.Result.QueryEnd,
+				Score:       a.Result.Score,
+			}
+			k := keyOf(&ov)
+			if cur, ok := best[k]; !ok || ov.Score > cur.Score {
+				best[k] = ov
 			}
 		}
 		endSpan()

@@ -13,7 +13,7 @@ import (
 	"darwin/internal/obs"
 )
 
-// MapAll observability: the worker gauge plus a busy-time timer, so
+// Map observability: the worker gauge plus a busy-time timer, so
 // utilization = core/worker_busy seconds / (wall × core/workers) is
 // derivable from any run report.
 var (
@@ -242,9 +242,8 @@ func runRead(e *Darwin, q dna.Seq, budget time.Duration) (out readOutcome, aband
 	}
 }
 
-// Map maps every read, in input order, under ctx. It is the primary
-// batch entrypoint; MapAll and MapAllContext are deprecated wrappers
-// over it.
+// Map maps every read, in input order, under ctx. It is the one batch
+// entrypoint of the monolithic engine.
 //
 // Cancellation is checked between reads — a read that has entered the
 // pipeline always completes (unless WithDeadlinePerRead abandons it),
@@ -279,34 +278,55 @@ func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption)
 	cmSpan.SetAttr("workers", int64(workers))
 	out := make([]MapResult, len(reads))
 	prog := NewProgressSink(o.Progress, len(reads))
+	// mapOne is the per-read body both paths share: span, busy timer,
+	// guarded run, result slot and progress. tid is the worker's 1-based
+	// id, or 0 on the inline path. It returns the engine for the next
+	// read — a fresh clone when this read was abandoned, because its
+	// stray goroutine may still mutate e's scratch — or the clone's
+	// error, in which case the read is stored but not counted as
+	// progress.
+	mapOne := func(e *Darwin, i, tid int) (*Darwin, error) {
+		if tid > 0 {
+			defer obs.Trace.StartTID("core.map_read.worker", tid)()
+		}
+		readSpan := cmSpan.StartChild("core.read")
+		if readSpan != nil {
+			readSpan.SetAttr("read", int64(i))
+			if tid > 0 {
+				readSpan.SetAttr("worker", int64(tid))
+			}
+			e.engine.SetSpan(readSpan)
+		}
+		busy := time.Now()
+		oc, abandoned := runRead(e, reads[i], o.DeadlinePerRead)
+		tWorkerBusy.Observe(time.Since(busy))
+		if readSpan != nil {
+			e.engine.SetSpan(nil)
+			finishReadSpan(readSpan, busy, oc)
+		}
+		out[i] = MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
+		if abandoned {
+			ne, err := d.Clone()
+			if err != nil {
+				return e, err
+			}
+			e = ne
+		}
+		prog.Step()
+		return e, nil
+	}
 	if workers <= 1 || len(reads) <= 1 {
+		// Inline: no goroutines, mapping on the receiver itself.
 		gWorkers.Set(1)
 		e := d
-		for i, r := range reads {
+		for i := range reads {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			readSpan := cmSpan.StartChild("core.read")
-			if readSpan != nil {
-				readSpan.SetAttr("read", int64(i))
-				e.engine.SetSpan(readSpan)
+			var err error
+			if e, err = mapOne(e, i, 0); err != nil {
+				return nil, err
 			}
-			busy := time.Now()
-			oc, abandoned := runRead(e, r, o.DeadlinePerRead)
-			tWorkerBusy.Observe(time.Since(busy))
-			if readSpan != nil {
-				e.engine.SetSpan(nil)
-				finishReadSpan(readSpan, busy, oc)
-			}
-			out[i] = MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
-			if abandoned {
-				ne, cerr := d.Clone()
-				if cerr != nil {
-					return nil, cerr
-				}
-				e = ne
-			}
-			prog.Step()
 		}
 		return out, nil
 	}
@@ -330,31 +350,7 @@ func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption)
 				if ctx.Err() != nil || workerErrs[tid-1] != nil {
 					continue // drain remaining indices without mapping
 				}
-				endSpan := obs.Trace.StartTID("core.map_read.worker", tid)
-				readSpan := cmSpan.StartChild("core.read")
-				if readSpan != nil {
-					readSpan.SetAttr("read", int64(i))
-					readSpan.SetAttr("worker", int64(tid))
-					e.engine.SetSpan(readSpan)
-				}
-				busy := time.Now()
-				oc, abandoned := runRead(e, reads[i], o.DeadlinePerRead)
-				tWorkerBusy.Observe(time.Since(busy))
-				if readSpan != nil {
-					e.engine.SetSpan(nil)
-					finishReadSpan(readSpan, busy, oc)
-				}
-				endSpan()
-				out[i] = MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
-				if abandoned {
-					ne, cerr := d.Clone()
-					if cerr != nil {
-						workerErrs[tid-1] = cerr
-						continue
-					}
-					e = ne
-				}
-				prog.Step()
+				e, workerErrs[tid-1] = mapOne(e, i, tid)
 			}
 		}(engines[w], w+1)
 	}
@@ -377,21 +373,4 @@ feed:
 		}
 	}
 	return out, nil
-}
-
-// MapAll maps every read using the given number of worker goroutines
-// (1 runs inline; <= 0 defaults to runtime.NumCPU()). Results are
-// returned in input order; workers use cloned engines so bin state
-// never races.
-//
-// Deprecated: use Map with WithWorkers.
-func (d *Darwin) MapAll(reads []dna.Seq, workers int) ([]MapResult, error) {
-	return d.Map(context.Background(), reads, WithWorkers(workers))
-}
-
-// MapAllContext is MapAll with cancellation between reads.
-//
-// Deprecated: use Map with WithWorkers.
-func (d *Darwin) MapAllContext(ctx context.Context, reads []dna.Seq, workers int) ([]MapResult, error) {
-	return d.Map(ctx, reads, WithWorkers(workers))
 }

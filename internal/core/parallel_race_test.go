@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -35,11 +36,11 @@ func TestMapAllWorkerCountInvariance(t *testing.T) {
 		seqs[i] = reads[i].Seq
 	}
 
-	serial, err := d.MapAll(seqs, 1)
+	serial, err := d.Map(context.Background(), seqs, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := d.MapAll(seqs, 8)
+	parallel, err := d.Map(context.Background(), seqs, WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -22,11 +23,11 @@ func TestMapAllMatchesSequential(t *testing.T) {
 	for i := range reads {
 		seqs[i] = reads[i].Seq
 	}
-	seq, err := d.MapAll(seqs, 1)
+	seq, err := d.Map(context.Background(), seqs, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := d.MapAll(seqs, 4)
+	par, err := d.Map(context.Background(), seqs, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestMapAllDeterministicOrdering(t *testing.T) {
 	var baseline []MapResult
 	sawTie := false
 	for _, workers := range []int{1, 2, 4} {
-		res, err := d.MapAll(reads, workers)
+		res, err := d.Map(context.Background(), reads, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

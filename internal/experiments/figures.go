@@ -13,6 +13,7 @@ import (
 	"darwin/internal/gact"
 	"darwin/internal/hw"
 	"darwin/internal/metrics"
+	"darwin/internal/obs"
 	"darwin/internal/readsim"
 	"darwin/internal/seedtable"
 )
@@ -272,8 +273,8 @@ func Fig12(o Options) (*Result, error) {
 		return nil, err
 	}
 	values := map[string]float64{}
-	trueHist := metrics.NewHistogram(0, 400, 20)
-	falseHist := metrics.NewHistogram(0, 400, 20)
+	trueHist := obs.NewHistogram(0, 400, 20)
+	falseHist := obs.NewHistogram(0, 400, 20)
 
 	gcfg := gact.DefaultConfig() // FirstTileT = 384
 	gcfg.MinFirstTile = 0
@@ -312,25 +313,26 @@ func Fig12(o Options) (*Result, error) {
 					}
 					isTrue := rev == r.Reverse && c.Bin >= trueBin-slackBins && c.Bin <= trueBin+slackBins
 					if isTrue {
-						trueHist.Add(float64(st.FirstTileScore))
+						trueHist.Observe(float64(st.FirstTileScore))
 					} else {
-						falseHist.Add(float64(st.FirstTileScore))
+						falseHist.Observe(float64(st.FirstTileScore))
 					}
 				}
 			}
 		}
 	}
 	const hTile = 90
-	falseFiltered := falseHist.FractionBelow(hTile)
-	trueLost := trueHist.FractionBelow(hTile)
+	trueSnap, falseSnap := trueHist.Snapshot(), falseHist.Snapshot()
+	falseFiltered := falseSnap.FractionBelow(hTile)
+	trueLost := trueSnap.FractionBelow(hTile)
 	values["false_filtered_at_90"] = falseFiltered
 	values["true_lost_at_90"] = trueLost
-	values["true_hits"] = float64(trueHist.Total())
-	values["false_hits"] = float64(falseHist.Total())
+	values["true_hits"] = float64(trueSnap.Count)
+	values["false_hits"] = float64(falseSnap.Count)
 	report := fmt.Sprintf(
 		"First GACT tile score (T=384) for D-SOFT true vs false hits\n(paper Fig. 12: h_tile=90 removes 97.3%% of false hits at <0.05%%\nsensitivity loss).\n\nTrue hits (%d):\n%s\nFalse hits (%d):\n%s\nAt h_tile=%d: %.1f%% of false hits filtered, %.2f%% of true hits lost\n",
-		trueHist.Total(), trueHist.Render(40),
-		falseHist.Total(), falseHist.Render(40),
+		trueSnap.Count, trueSnap.Render(40),
+		falseSnap.Count, falseSnap.Render(40),
 		hTile, falseFiltered*100, trueLost*100)
 	return &Result{ID: "fig12", Report: report, Values: values}, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -259,7 +260,10 @@ func Table4(o Options) (*Result, error) {
 		return nil, err
 	}
 	darwinStart := time.Now()
-	dOv, ovStats := ovp.FindOverlaps(500)
+	dOv, ovStats, err := ovp.Run(context.Background(), core.OverlapRun{MinOverlap: 500})
+	if err != nil {
+		return nil, err
+	}
 	darwinTime := time.Since(darwinStart)
 	dConf := assembly.EvaluateOverlaps(reads, assembly.FromCoreOverlaps(dOv), 1000, 0.8)
 

@@ -106,10 +106,14 @@ func (f *File) parse(opts Options) error {
 	}
 	info.Fingerprint = fingerprint(blob)
 	info.FileSize = int64(len(data))
+	// Overflow-safe bounds: a u64 length of 2^63 or more decodes
+	// negative, and offset+length can wrap, so compare against the room
+	// left after offset instead of summing.
+	size := int64(len(data))
 	for i, s := range secs {
-		if s.offset < hdrEnd+4 || s.offset+s.length > int64(len(data)) {
-			return formatErr(CodeTruncated, path, "section %d [%d,%d) outside file of %d bytes",
-				i, s.offset, s.offset+s.length, len(data))
+		if s.offset < hdrEnd+4 || s.length < 0 || s.offset > size || s.length > size-s.offset {
+			return formatErr(CodeTruncated, path, "section %d (%d bytes at offset %d) outside file of %d bytes",
+				i, s.length, s.offset, size)
 		}
 	}
 	if !opts.SkipChecksums {

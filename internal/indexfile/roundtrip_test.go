@@ -1,6 +1,8 @@
 package indexfile
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -269,6 +271,54 @@ func TestCorruptionCodes(t *testing.T) {
 	flipped := corrupt(t, path, func(b []byte) []byte { b[last.Offset] ^= 0x01; return b })
 	if _, err := Inspect(flipped); err != nil {
 		t.Errorf("Inspect rejected a payload flip it is documented to skip: %v", err)
+	}
+}
+
+// TestSectionBoundsOverflow patches the last section entry of a valid
+// file with placements whose end overflows int64, recomputes the header
+// CRC so the header is accepted, and checks the bounds pass rejects
+// them as truncated instead of slicing out of range.
+func TestSectionBoundsOverflow(t *testing.T) {
+	ref := dna.Random(rand.New(rand.NewSource(45)), 20000, 0.5)
+	idx := buildIndex(t, ref, 11, seedtable.Options{}, "")
+	path := filepath.Join(t.TempDir(), "x.dwi")
+	if err := Write(path, idx); err != nil {
+		t.Fatal(err)
+	}
+	// A section entry is kind u32, table u32, offset u64, length u64,
+	// crc u32; the entries end the header.
+	const entryLen = 28
+	patch := func(offset, length uint64) func([]byte) []byte {
+		return func(b []byte) []byte {
+			le := binary.LittleEndian
+			hdrEnd := preambleLen + int(le.Uint32(b[12:]))
+			entry := b[hdrEnd-entryLen : hdrEnd]
+			if offset != 0 {
+				le.PutUint64(entry[8:], offset)
+			}
+			le.PutUint64(entry[16:], length)
+			le.PutUint32(b[hdrEnd:], crc32.Checksum(b[preambleLen:hdrEnd], castagnoli))
+			return b
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func([]byte) []byte
+	}{
+		{"offset_and_length_2^62", patch(1<<62, 1<<62)},
+		{"length_2^63", patch(0, 1<<63)},
+		{"length_max_u64", patch(0, ^uint64(0))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := corrupt(t, path, tc.mutate)
+			if _, err := Verify(p); ErrCode(err) != CodeTruncated {
+				t.Errorf("Verify: code %q (err %v), want %q", ErrCode(err), err, CodeTruncated)
+			}
+			if _, err := Open(p, Options{}); ErrCode(err) != CodeTruncated {
+				t.Errorf("Open: code %q (err %v), want %q", ErrCode(err), err, CodeTruncated)
+			}
+		})
 	}
 }
 

@@ -152,6 +152,11 @@ func ReadCheckpoint(path string, fingerprint uint64) (*core.OverlapCheckpoint, e
 		return nil, ckptErr(CodeBadVersion, path, "version %d, want %d", v, ckptVersion)
 	}
 	count := le.Uint64(buf[24:32])
+	// Bound count by the file size before multiplying: a crafted count
+	// would otherwise wrap the expected length back onto len(buf).
+	if maxCount := uint64((len(buf) - ckptHdrLen - 4) / ckptRecLen); count > maxCount {
+		return nil, ckptErr(CodeTruncated, path, "%d bytes hold at most %d overlaps, header claims %d", len(buf), maxCount, count)
+	}
 	want := ckptHdrLen + ckptRecLen*int(count) + 4
 	if len(buf) != want {
 		return nil, ckptErr(CodeTruncated, path, "%d bytes, want %d for %d overlaps", len(buf), want, count)

@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,6 +105,32 @@ func TestCheckpointCorruption(t *testing.T) {
 				t.Errorf("code = %v, want %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestCheckpointCraftedCount: a header whose overlap count makes
+// ckptRecLen × count wrap to zero must be rejected as truncated, not
+// allocated. The file is 36 bytes (header + CRC, no records) with
+// count = 2^58 and a CRC recomputed over the crafted header, so only
+// the count bound stands between it and a huge allocation.
+func TestCheckpointCraftedCount(t *testing.T) {
+	const fp = 42
+	le := binary.LittleEndian
+	buf := make([]byte, ckptHdrLen+4)
+	copy(buf[0:4], ckptMagic)
+	le.PutUint32(buf[4:8], ckptVersion)
+	le.PutUint64(buf[8:16], fp)
+	le.PutUint64(buf[16:24], 0)
+	le.PutUint64(buf[24:32], 1<<58)
+	le.PutUint32(buf[32:36], crc32.Checksum(buf[4:32], castagnoli))
+	path := filepath.Join(t.TempDir(), "checkpoint.dwc")
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadCheckpoint(path, fp)
+	var ce *CheckpointError
+	if !errors.As(err, &ce) || ce.Code != CodeTruncated {
+		t.Fatalf("ReadCheckpoint = %v, want code %s", err, CodeTruncated)
 	}
 }
 

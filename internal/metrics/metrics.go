@@ -52,111 +52,6 @@ func (c *Confusion) Add(o Confusion) {
 	c.FN += o.FN
 }
 
-// Histogram is a fixed-width bin histogram over [Min, Max).
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	under    int
-	over     int
-	total    int
-}
-
-// NewHistogram creates a histogram with the given bin count. Invalid
-// configurations are clamped rather than deferred to Add: bins is
-// raised to at least 1, and a range with Max ≤ Min (or NaN bounds)
-// becomes [Min, Min+1) so bin indexing never divides by zero.
-func NewHistogram(minV, maxV float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if !(maxV > minV) { // also catches NaN bounds
-		maxV = minV + 1
-	}
-	return &Histogram{Min: minV, Max: maxV, Counts: make([]int, bins)}
-}
-
-// RestoreHistogram reconstructs a histogram from externally recorded
-// counts (e.g. package obs's atomic snapshots) so the renderers here
-// can be reused on them.
-func RestoreHistogram(minV, maxV float64, counts []int, under, over int) *Histogram {
-	h := NewHistogram(minV, maxV, len(counts))
-	copy(h.Counts, counts)
-	h.under, h.over = under, over
-	h.total = under + over
-	for _, c := range counts {
-		h.total += c
-	}
-	return h
-}
-
-// Add records one observation. Degenerate histograms (no bins, or a
-// hand-built value with Max ≤ Min) tally out-of-range rather than
-// indexing with a NaN.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	switch {
-	case v < h.Min:
-		h.under++
-	case v >= h.Max || len(h.Counts) == 0 || h.Max <= h.Min:
-		h.over++
-	default:
-		i := int((v - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations (including out of range).
-func (h *Histogram) Total() int { return h.total }
-
-// FractionBelow returns the fraction of observations strictly below v.
-func (h *Histogram) FractionBelow(v float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	n := h.under
-	for i, c := range h.Counts {
-		lo := h.Min + (h.Max-h.Min)*float64(i)/float64(len(h.Counts))
-		hi := h.Min + (h.Max-h.Min)*float64(i+1)/float64(len(h.Counts))
-		if hi <= v {
-			n += c
-		} else if lo < v {
-			// Partial bin: attribute proportionally.
-			n += int(float64(c) * (v - lo) / (hi - lo))
-		}
-	}
-	return float64(n) / float64(h.total)
-}
-
-// Render draws an ASCII bar histogram with the given maximum bar
-// width.
-func (h *Histogram) Render(width int) string {
-	maxCount := 1
-	for _, c := range h.Counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		lo := h.Min + (h.Max-h.Min)*float64(i)/float64(len(h.Counts))
-		bar := strings.Repeat("#", c*width/maxCount)
-		fmt.Fprintf(&b, "%10.1f | %-*s %d\n", lo, width, bar, c)
-	}
-	if h.under > 0 {
-		fmt.Fprintf(&b, "%10s | %d below range\n", "<min", h.under)
-	}
-	if h.over > 0 {
-		fmt.Fprintf(&b, "%10s | %d above range\n", ">max", h.over)
-	}
-	return b.String()
-}
-
 // Table renders rows of cells with aligned columns.
 type Table struct {
 	Header []string

@@ -1,16 +1,15 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
-
-	"darwin/internal/metrics"
 )
 
-// Histogram is a fixed-width bin histogram safe for concurrent
-// observation: an atomic wrapper over the binning scheme of
-// internal/metrics.Histogram. Out-of-range observations are tallied
-// in under/over buckets, as the metrics renderer expects.
+// Histogram is a fixed-width bin histogram over [min, max), safe for
+// concurrent observation. Out-of-range observations are tallied in
+// under/over buckets.
 type Histogram struct {
 	min, max float64
 	bins     []atomic.Int64
@@ -20,9 +19,12 @@ type Histogram struct {
 	sumBits  atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// newHistogram validates and clamps the configuration the same way
-// metrics.NewHistogram does: at least one bin, max strictly above min.
-func newHistogram(minV, maxV float64, bins int) *Histogram {
+// NewHistogram returns a histogram that no Registry holds, for callers
+// that only want its binning and renderers. Invalid configurations are
+// clamped rather than deferred to Observe: bins is raised to at least
+// 1, and a range with max ≤ min (or NaN bounds) becomes [min, min+1),
+// so bin indexing never divides by zero.
+func NewHistogram(minV, maxV float64, bins int) *Histogram {
 	if bins < 1 {
 		bins = 1
 	}
@@ -112,12 +114,47 @@ func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
 	return out
 }
 
-// Render draws the snapshot as an ASCII bar chart via the
-// internal/metrics renderer.
-func (s HistogramSnapshot) Render(width int) string {
-	counts := make([]int, len(s.Counts))
-	for i, c := range s.Counts {
-		counts[i] = int(c)
+// binLow returns the lower edge of bin i.
+func (s HistogramSnapshot) binLow(i int) float64 {
+	return s.Min + (s.Max-s.Min)*float64(i)/float64(len(s.Counts))
+}
+
+// FractionBelow returns the fraction of observations strictly below v.
+// A bin that v splits contributes in proportion to the part below v.
+func (s HistogramSnapshot) FractionBelow(v float64) float64 {
+	if s.Count == 0 {
+		return 0
 	}
-	return metrics.RestoreHistogram(s.Min, s.Max, counts, int(s.Under), int(s.Over)).Render(width)
+	n := s.Under
+	for i, c := range s.Counts {
+		lo, hi := s.binLow(i), s.binLow(i+1)
+		if hi <= v {
+			n += c
+		} else if lo < v {
+			n += int64(float64(c) * (v - lo) / (hi - lo))
+		}
+	}
+	return float64(n) / float64(s.Count)
+}
+
+// Render draws the snapshot as an ASCII bar chart with the given
+// maximum bar width, one line per bin plus a line each for the under-
+// and over-range tallies when they are non-zero.
+func (s HistogramSnapshot) Render(width int) string {
+	maxCount := int64(1)
+	for _, c := range s.Counts {
+		maxCount = max(maxCount, c)
+	}
+	var b strings.Builder
+	for i, c := range s.Counts {
+		bar := strings.Repeat("#", int(c*int64(width)/maxCount))
+		fmt.Fprintf(&b, "%10.1f | %-*s %d\n", s.binLow(i), width, bar, c)
+	}
+	if s.Under > 0 {
+		fmt.Fprintf(&b, "%10s | %d below range\n", "<min", s.Under)
+	}
+	if s.Over > 0 {
+		fmt.Fprintf(&b, "%10s | %d above range\n", ">max", s.Over)
+	}
+	return b.String()
 }

@@ -188,7 +188,7 @@ func (r *Registry) Histogram(name string, minV, maxV float64, bins int) *Histogr
 	if h, ok := r.histograms[name]; ok {
 		return h
 	}
-	h = newHistogram(minV, maxV, bins)
+	h = NewHistogram(minV, maxV, bins)
 	r.histograms[name] = h
 	return h
 }

@@ -82,7 +82,7 @@ func TestSnapshotSub(t *testing.T) {
 }
 
 func TestHistogramClampAndOutOfRange(t *testing.T) {
-	h := newHistogram(10, 10, 0) // degenerate config must clamp
+	h := NewHistogram(10, 10, 0) // degenerate config must clamp
 	for _, v := range []float64{-5, 10, 10.5, 11, 100} {
 		h.Observe(v)
 	}

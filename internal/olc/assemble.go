@@ -199,10 +199,9 @@ func Overlap(ctx context.Context, reads []dna.Seq, options ...Option) ([]core.Ov
 // Assemble runs the full overlap-layout-consensus pipeline under ctx:
 // all-vs-all overlap (resumable via WithCheckpoint), an optional
 // overlap-graph read-reordering pass (WithReorder), greedy layout,
-// read splicing, and majority-vote polishing. It subsumes the
-// positional BuildLayout/Splice/Polish free functions; each stage is
-// traced as a child span (olc/overlap, olc/layout, olc/consensus,
-// olc/polish) and guarded by a fault point of the same name.
+// read splicing, and majority-vote polishing. Each stage is traced as
+// a child span (olc/overlap, olc/layout, olc/consensus, olc/polish)
+// and guarded by a fault point of the same name.
 func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembly, error) {
 	defer tAssemble.Time()()
 	s := ResolveOptions(options)

@@ -51,8 +51,8 @@ func contigsEqual(a, b []dna.Record) bool {
 }
 
 // TestAssembleMatchesLegacyPipeline: the option-based Assemble must
-// reproduce the positional BuildLayout/Splice/Polish pipeline (the
-// historical darwin-assemble flow) byte for byte.
+// reproduce the stage-by-stage BuildLayoutContext/Splice/PolishContext
+// pipeline (the historical darwin-assemble flow) byte for byte.
 func TestAssembleMatchesLegacyPipeline(t *testing.T) {
 	seqs := testReads(t, 20000, 60)
 	cfg := testConfig()
@@ -70,17 +70,17 @@ func TestAssembleMatchesLegacyPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlaps, _ := ovp.FindOverlaps(minOverlap / 2)
+	overlaps := mustOverlaps(t, ovp, minOverlap/2)
 	readLens := make([]int, len(seqs))
 	for i := range seqs {
 		readLens[i] = len(seqs[i])
 	}
-	layout := BuildLayout(readLens, overlaps)
+	layout := mustLayout(t, readLens, overlaps)
 	var legacy []dna.Record
 	for ci, contig := range layout.Contigs {
 		seq := Splice(seqs, contig)
 		for round := 0; round < polishRounds && len(contig.Placements) > 1; round++ {
-			polished, err := Polish(seq, seqs, cfg)
+			polished, err := PolishContext(context.Background(), seq, seqs, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

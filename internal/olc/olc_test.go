@@ -1,6 +1,7 @@
 package olc
 
 import (
+	"context"
 	"testing"
 
 	"darwin/internal/align"
@@ -19,7 +20,7 @@ func TestLayoutSimpleChain(t *testing.T) {
 		{Target: 0, Query: 1, TargetStart: 600, TargetEnd: 1000, QueryStart: 0, QueryEnd: 400, Score: 400},
 		{Target: 1, Query: 2, TargetStart: 600, TargetEnd: 1000, QueryStart: 0, QueryEnd: 400, Score: 390},
 	}
-	l := BuildLayout(readLens, overlaps)
+	l := mustLayout(t, readLens, overlaps)
 	if len(l.Contigs) != 1 {
 		t.Fatalf("contigs = %d, want 1", len(l.Contigs))
 	}
@@ -45,7 +46,7 @@ func TestLayoutReverseOrientation(t *testing.T) {
 	overlaps := []core.Overlap{
 		{Target: 0, Query: 1, QueryRev: true, TargetStart: 600, TargetEnd: 1000, QueryStart: 0, QueryEnd: 400, Score: 400},
 	}
-	l := BuildLayout(readLens, overlaps)
+	l := mustLayout(t, readLens, overlaps)
 	if len(l.Contigs) != 1 {
 		t.Fatalf("contigs = %d, want 1", len(l.Contigs))
 	}
@@ -70,7 +71,7 @@ func TestLayoutSkipsCycles(t *testing.T) {
 		// ignored (same fragment).
 		{Target: 1, Query: 0, TargetStart: 400, TargetEnd: 500, QueryStart: 0, QueryEnd: 100, Score: 100},
 	}
-	l := BuildLayout(readLens, overlaps)
+	l := mustLayout(t, readLens, overlaps)
 	if len(l.Contigs) != 1 {
 		t.Fatalf("contigs = %d, want 1", len(l.Contigs))
 	}
@@ -92,7 +93,7 @@ func TestSpliceExactTiling(t *testing.T) {
 		{Target: 0, Query: 1, TargetStart: 800, TargetEnd: 1200, QueryStart: 0, QueryEnd: 400, Score: 400},
 		{Target: 1, Query: 2, TargetStart: 1000, TargetEnd: 1400, QueryStart: 0, QueryEnd: 400, Score: 399},
 	}
-	l := BuildLayout(readLens, overlaps)
+	l := mustLayout(t, readLens, overlaps)
 	if len(l.Contigs) != 1 {
 		t.Fatalf("contigs = %d, want 1", len(l.Contigs))
 	}
@@ -126,8 +127,8 @@ func TestEndToEndAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlaps, _ := ov.FindOverlaps(500)
-	l := BuildLayout(readLens, overlaps)
+	overlaps := mustOverlaps(t, ov, 500)
+	l := mustLayout(t, readLens, overlaps)
 	st := Summarize(l)
 	if st.Contigs > 20 {
 		t.Errorf("assembly too fragmented: %s", st)
@@ -178,5 +179,57 @@ func TestSummarizeStats(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty render")
+	}
+}
+
+// mustOverlaps runs ovp's overlap pass to completion.
+func mustOverlaps(t *testing.T, ovp *core.Overlapper, minOverlap int) []core.Overlap {
+	t.Helper()
+	overlaps, _, err := ovp.Run(context.Background(), core.OverlapRun{MinOverlap: minOverlap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return overlaps
+}
+
+// mustLayout runs BuildLayoutContext under a background context.
+func mustLayout(t *testing.T, readLens []int, overlaps []core.Overlap) *Layout {
+	t.Helper()
+	l, err := BuildLayoutContext(context.Background(), readLens, overlaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestContextWrappersCancel: the context-first stages must honour an
+// already-cancelled context.
+func TestContextWrappersCancel(t *testing.T) {
+	seqs := testReads(t, 15000, 40)
+	readLens := make([]int, len(seqs))
+	for i := range seqs {
+		readLens[i] = len(seqs[i])
+	}
+	ovp, err := core.NewOverlapper(seqs, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlaps := mustOverlaps(t, ovp, 500)
+	if len(overlaps) == 0 {
+		t.Fatal("no overlaps for cancellation probe")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := BuildLayoutContext(ctx, readLens, overlaps); err == nil {
+		t.Error("BuildLayoutContext ignored cancelled context")
+	}
+	if _, err := PolishContext(ctx, seqs[0], seqs, testConfig()); err == nil {
+		t.Error("PolishContext ignored cancelled context")
+	}
+	if _, _, err := ovp.Run(ctx, core.OverlapRun{MinOverlap: 500}); err == nil {
+		t.Error("Overlapper.Run ignored cancelled context")
+	}
+	if _, err := Assemble(ctx, seqs, WithConfig(testConfig())); err == nil {
+		t.Error("Assemble ignored cancelled context")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // stage would double-book that time.
 var tPolish = obs.Default.Timer("olc/polish")
 
-// Polish performs the consensus phase of OLC assembly (Section 2:
+// PolishContext performs the consensus phase of OLC assembly (Section 2:
 // "the final DNA sequence is derived by taking a consensus of reads,
 // which corrects the vast majority of read errors"): reads are mapped
 // back onto the draft contig with the Darwin engine, and each draft
@@ -25,15 +25,8 @@ var tPolish = obs.Default.Timer("olc/polish")
 // raw read rate (~15% for PacBio) to well under 1%, mirroring the
 // consensus-accuracy argument of Section 2.
 //
-// Deprecated: use PolishContext, which adds cooperative cancellation.
-// This wrapper is bit-identical to the context form.
-func Polish(draft dna.Seq, reads []dna.Seq, cfg core.Config) (dna.Seq, error) {
-	return PolishContext(context.Background(), draft, reads, cfg)
-}
-
-// PolishContext is Polish with cooperative cancellation: ctx is
-// checked between reads (each read's remap is the unit of work), and
-// cancellation returns ctx.Err() with a nil sequence.
+// ctx is checked between reads (each read's remap is the unit of
+// work), and cancellation returns ctx.Err() with a nil sequence.
 func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core.Config) (dna.Seq, error) {
 	defer tPolish.Time()()
 	defer obs.Trace.Start("olc.polish")()

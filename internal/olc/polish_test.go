@@ -1,6 +1,7 @@
 package olc
 
 import (
+	"context"
 	"testing"
 
 	"darwin/internal/align"
@@ -36,8 +37,8 @@ func TestPolishReducesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlaps, _ := ovp.FindOverlaps(500)
-	layout := BuildLayout(readLens, overlaps)
+	overlaps := mustOverlaps(t, ovp, 500)
+	layout := mustLayout(t, readLens, overlaps)
 	draft := Splice(seqs, layout.Contigs[0])
 	if len(draft) < 12000 {
 		t.Fatalf("draft too short: %d", len(draft))
@@ -62,7 +63,7 @@ func TestPolishReducesError(t *testing.T) {
 	// round's cleaner draft sharpens the second round's alignments.
 	polished := draft
 	for round := 0; round < 2; round++ {
-		polished, err = Polish(polished, seqs, core.DefaultConfig(11, 700, 20))
+		polished, err = PolishContext(context.Background(), polished, seqs, core.DefaultConfig(11, 700, 20))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestPolishPreservesPerfectDraft(t *testing.T) {
 	for lo := 0; lo+2000 <= len(g.Seq); lo += 800 {
 		reads = append(reads, g.Seq[lo:lo+2000].Clone())
 	}
-	polished, err := Polish(g.Seq, reads, core.DefaultConfig(11, 600, 20))
+	polished, err := PolishContext(context.Background(), g.Seq, reads, core.DefaultConfig(11, 600, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestPolishPreservesPerfectDraft(t *testing.T) {
 }
 
 func TestPolishErrors(t *testing.T) {
-	if _, err := Polish(nil, nil, core.DefaultConfig(11, 600, 20)); err == nil {
+	if _, err := PolishContext(context.Background(), nil, nil, core.DefaultConfig(11, 600, 20)); err == nil {
 		t.Error("empty draft should error")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/readsim"
 )
@@ -46,7 +47,7 @@ func TestBatcherResultsMatchDirectMapping(t *testing.T) {
 		}
 		jobs[i] = j
 	}
-	direct, err := entry.Engine.MapAll(reads, 1)
+	direct, err := entry.Engine.Map(context.Background(), reads, core.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

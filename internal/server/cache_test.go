@@ -176,11 +176,11 @@ func TestBuildEntrySharded(t *testing.T) {
 		t.Fatal("sharded entry has no shard set")
 	}
 	reads := []dna.Seq{ref[1000:3500].Clone(), ref[30000:32500].Clone(), dna.RevComp(ref[45000:47500])}
-	want, err := mono.Engine.MapAll(reads, 2)
+	want, err := mono.Engine.Map(context.Background(), reads, core.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sharded.Engine.MapAll(reads, 2)
+	got, err := sharded.Engine.Map(context.Background(), reads, core.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,20 +205,6 @@ func (m *ScatterMapper) MapRead(q dna.Seq) ([]core.ReadAlignment, core.MapStats)
 	return res[0].Alignments, res[0].Stats
 }
 
-// MapAll maps every read with the given worker parallelism.
-//
-// Deprecated: use Map with core.WithWorkers.
-func (m *ScatterMapper) MapAll(reads []dna.Seq, workers int) ([]core.MapResult, error) {
-	return m.Map(context.Background(), reads, core.WithWorkers(workers))
-}
-
-// MapAllContext is MapAll with cancellation between reads.
-//
-// Deprecated: use Map with core.WithWorkers.
-func (m *ScatterMapper) MapAllContext(ctx context.Context, reads []dna.Seq, workers int) ([]core.MapResult, error) {
-	return m.Map(ctx, reads, core.WithWorkers(workers))
-}
-
 // Map maps a batch with cancellation between reads and between shards.
 // Results are in input order and deterministic for any worker count
 // and any shard geometry: each read's merged candidates are sorted

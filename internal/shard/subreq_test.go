@@ -30,7 +30,7 @@ func TestScatterShardsMergeBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		reads := boundaryReads(t, ref, sm.Set().Geometry())
-		want, err := mono.MapAll(reads, 2)
+		want, err := mono.Map(context.Background(), reads, core.WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}

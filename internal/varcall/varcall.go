@@ -67,14 +67,6 @@ func DefaultConfig(coreCfg core.Config) Config {
 	return Config{Core: coreCfg, MinDepth: 5, MinFrac: 0.5}
 }
 
-// Call maps the reads and returns variant calls sorted by position.
-//
-// Deprecated: use CallContext, which this wraps with
-// context.Background(). Results are identical.
-func Call(ref dna.Seq, reads []dna.Seq, cfg Config) ([]Variant, error) {
-	return CallContext(context.Background(), ref, reads, cfg)
-}
-
 // CallContext maps the reads and returns variant calls sorted by
 // position. Cancellation is honoured between reads.
 func CallContext(ctx context.Context, ref dna.Seq, reads []dna.Seq, cfg Config) ([]Variant, error) {

@@ -1,6 +1,7 @@
 package varcall
 
 import (
+	"context"
 	"testing"
 
 	"darwin/internal/core"
@@ -30,7 +31,7 @@ func TestCallSNPs(t *testing.T) {
 	for i := range reads {
 		seqs[i] = reads[i].Seq
 	}
-	calls, err := Call(g.Seq, seqs, DefaultConfig(core.DefaultConfig(11, 600, 20)))
+	calls, err := CallContext(context.Background(), g.Seq, seqs, DefaultConfig(core.DefaultConfig(11, 600, 20)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestCallIndels(t *testing.T) {
 	for i := range reads {
 		seqs[i] = reads[i].Seq
 	}
-	calls, err := Call(g.Seq, seqs, DefaultConfig(core.DefaultConfig(11, 600, 20)))
+	calls, err := CallContext(context.Background(), g.Seq, seqs, DefaultConfig(core.DefaultConfig(11, 600, 20)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestNoVariantsNoCalls(t *testing.T) {
 	for i := range reads {
 		seqs[i] = reads[i].Seq
 	}
-	calls, err := Call(g.Seq, seqs, DefaultConfig(core.DefaultConfig(11, 600, 20)))
+	calls, err := CallContext(context.Background(), g.Seq, seqs, DefaultConfig(core.DefaultConfig(11, 600, 20)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +155,12 @@ func TestNoVariantsNoCalls(t *testing.T) {
 }
 
 func TestCallErrors(t *testing.T) {
-	if _, err := Call(nil, nil, DefaultConfig(core.DefaultConfig(11, 100, 10))); err == nil {
+	if _, err := CallContext(context.Background(), nil, nil, DefaultConfig(core.DefaultConfig(11, 100, 10))); err == nil {
 		t.Error("empty reference should error")
 	}
 	cfg := DefaultConfig(core.DefaultConfig(11, 100, 10))
 	cfg.MinFrac = 0
-	if _, err := Call(dna.NewSeq("ACGTACGTACGTACGT"), nil, cfg); err == nil {
+	if _, err := CallContext(context.Background(), dna.NewSeq("ACGTACGTACGTACGT"), nil, cfg); err == nil {
 		t.Error("MinFrac 0 should error")
 	}
 }
