@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test check race vet test-allocs bench bench-core bench-kernel bench-shard bench-traced bench-index benchdiff benchdiff-traced serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint clean
+.PHONY: build test check race vet test-allocs fuzz-checkpoint bench bench-core bench-kernel bench-shard bench-traced bench-index benchdiff benchdiff-traced serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint clean
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,14 @@ race:
 test-allocs:
 	$(GO) test -run 'ZeroSteadyStateAllocs' ./internal/align/
 
-check: vet race test-allocs serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
+check: vet race test-allocs fuzz-checkpoint serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
+
+# A short fuzzing pass over the job checkpoint decoder, starting from
+# the committed seed corpus in internal/jobs/testdata/fuzz: crafted
+# DWCP files must be rejected with a structured error or decode to a
+# checkpoint that round-trips and lays out without panicking.
+fuzz-checkpoint:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s ./internal/jobs/
 
 # End-to-end serving check: darwind on a synthetic genome, load from
 # darwin-client, non-empty SAM back, clean drain on SIGTERM.

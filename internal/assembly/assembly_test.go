@@ -164,8 +164,11 @@ func TestEvaluateOverlapsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := EvaluateOverlaps(reads, FromCoreOverlaps(overlaps), 1000, 0.8)
-	if c.Sensitivity() < 0.8 {
-		t.Errorf("darwin overlap sensitivity = %.2f (%+v), want ≥ 0.8", c.Sensitivity(), c)
+	// Every true overlap is found, as it was when each pair was
+	// extended from both of its reads: extending from one side only
+	// must not cost sensitivity here.
+	if c.FN != 0 {
+		t.Errorf("darwin overlap sensitivity = %.3f (%+v), want 1", c.Sensitivity(), c)
 	}
 }
 

@@ -321,7 +321,7 @@ func (s *MapStats) Add(o MapStats) { s.add(o) }
 func (d *Darwin) MapRead(q dna.Seq) ([]ReadAlignment, MapStats) {
 	endSpan := obs.Trace.Start("core.map_read")
 	start := time.Now()
-	out, stats := d.mapStrands(q, nil, -1)
+	out, stats := d.mapStrands(q)
 	SortAlignments(out)
 	cReads.Inc()
 	cAlignments.Add(int64(len(out)))
@@ -340,22 +340,35 @@ type refWindow func(refPos int) (target, lo, hi int)
 
 // mapStrands runs mapStrand on the forward query, then on its reverse
 // complement, concatenating alignments in that order.
-func (d *Darwin) mapStrands(q dna.Seq, window refWindow, skipRead int) ([]ReadAlignment, MapStats) {
-	out, stats := d.mapStrand(q, false, window, skipRead)
-	d.revBuf = dna.AppendRevComp(d.revBuf[:0], q)
-	alns, st := d.mapStrand(d.revBuf, true, window, skipRead)
+func (d *Darwin) mapStrands(q dna.Seq) ([]ReadAlignment, MapStats) {
+	out, stats := d.mapStrand(q, false)
+	alns, st := d.mapStrand(d.strand(q, true), true)
 	stats.add(st)
 	return append(out, alns...), stats
 }
 
-// mapStrand runs the Fig. 6 pipeline for one oriented query: D-SOFT
-// candidates, then a GACT extension from each. A nil window extends
-// over the whole reference (read mapping). Otherwise each extension
-// is clipped to the segment window returns for its candidate, and
-// candidates whose target equals skipRead are dropped (a read's
-// trivial self-hit in the de novo concatenated reference). Returned
-// coordinates are global.
-func (d *Darwin) mapStrand(query dna.Seq, rev bool, window refWindow, skipRead int) ([]ReadAlignment, MapStats) {
+// mapStrand runs the Fig. 6 pipeline for one oriented query over the
+// whole reference: D-SOFT candidates, then a GACT extension from each.
+func (d *Darwin) mapStrand(query dna.Seq, rev bool) ([]ReadAlignment, MapStats) {
+	cands, stats := d.filterStrand(query)
+	out := d.extendStrand(query, rev, cands, nil, &stats)
+	return out, stats
+}
+
+// strand returns q, or for rev its reverse complement in the engine's
+// scratch buffer, valid until the next call.
+func (d *Darwin) strand(q dna.Seq, rev bool) dna.Seq {
+	if !rev {
+		return q
+	}
+	d.revBuf = dna.AppendRevComp(d.revBuf[:0], q)
+	return d.revBuf
+}
+
+// filterStrand is the D-SOFT half of the Fig. 6 pipeline for one
+// oriented query: its candidates, truncated to MaxCandidates. The
+// slice is the engine's scratch buffer, valid until the next call.
+func (d *Darwin) filterStrand(query dna.Seq) ([]dsoft.Candidate, MapStats) {
 	var stats MapStats
 	start := time.Now()
 	cands, dst := d.filter.QueryInto(query, d.cands[:0])
@@ -363,21 +376,24 @@ func (d *Darwin) mapStrand(query dna.Seq, rev bool, window refWindow, skipRead i
 	stats.DSOFT = dst
 	stats.Candidates = len(cands)
 	stats.FiltrationTime = time.Since(start)
-
 	if d.cfg.MaxCandidates > 0 && len(cands) > d.cfg.MaxCandidates {
 		cands = cands[:d.cfg.MaxCandidates]
 	}
+	return cands, stats
+}
 
-	start = time.Now()
+// extendStrand is the GACT half: one extension from each candidate of
+// an oriented query, with the work added to stats. A nil window
+// extends over the whole reference (read mapping); otherwise each
+// extension is clipped to the segment window returns for its
+// candidate. Returned coordinates are global.
+func (d *Darwin) extendStrand(query dna.Seq, rev bool, cands []dsoft.Candidate, window refWindow, stats *MapStats) []ReadAlignment {
+	start := time.Now()
 	var out []ReadAlignment
 	lo, hi := 0, len(d.ref)
 	for _, c := range cands {
 		if window != nil {
-			var target int
-			target, lo, hi = window(c.RefPos)
-			if target == skipRead || c.RefPos >= hi {
-				continue
-			}
+			_, lo, hi = window(c.RefPos)
 		}
 		res, gst, err := d.engine.Extend(d.ref[lo:hi], query, c.RefPos-lo, c.QueryPos)
 		if err != nil {
@@ -394,8 +410,8 @@ func (d *Darwin) mapStrand(query dna.Seq, rev bool, window refWindow, skipRead i
 		res.RefEnd += lo
 		out = append(out, ReadAlignment{Result: *res, Reverse: rev, FirstTileScore: gst.FirstTileScore})
 	}
-	stats.AlignmentTime = time.Since(start)
-	return out, stats
+	stats.AlignmentTime += time.Since(start)
+	return out
 }
 
 // Best returns the highest-scoring alignment, or nil.

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
 	"darwin/internal/dna"
+	"darwin/internal/dsoft"
 	"darwin/internal/obs"
 )
 
@@ -51,7 +53,8 @@ func (o *Overlap) Len() int { return o.TargetEnd - o.TargetStart }
 // Overlapper runs the overlap step of de novo assembly: reads are
 // concatenated (each padded with N to a whole number of D-SOFT bins,
 // Section 5) to form the reference, and every read is queried against
-// it in both orientations.
+// it in both orientations. Run spreads the pass over every core and
+// extends each read pair once per orientation.
 type Overlapper struct {
 	darwin  *Darwin
 	reads   []dna.Seq
@@ -60,7 +63,11 @@ type Overlapper struct {
 
 // OverlapStats aggregates the pipeline statistics of an overlap run.
 type OverlapStats struct {
-	// Map aggregates MapStats across all reads.
+	// Map aggregates MapStats across all reads. DSOFT, Candidates and
+	// FiltrationTime count the filter over both sides of every pair
+	// (every read, both strands); PassedHTile, Tiles, Cells,
+	// FirstTileScores and AlignmentTime count only the extensions each
+	// read owned, one per (pair, orientation) key with candidates.
 	Map MapStats
 	// TableBuildTime is the software-side seed-table construction time
 	// (the dominant software cost in the paper's de novo accounting:
@@ -175,14 +182,34 @@ type OverlapRun struct {
 // GACT extension is clipped to the read its candidate falls in (see
 // readWindow).
 //
-// ctx is checked between reads, so cancellation latency is one read's
-// pass; on cancellation Run returns the overlaps found so far together
-// with ctx.Err(). Stats cover only the reads processed by this call: a
-// resumed pass reports the remaining work, not the pre-checkpoint
-// history.
+// The pass has two phases, both spread over one engine clone per CPU:
+//
+//   - Filter: D-SOFT runs on every read, both strands, and each
+//     (pair, orientation) key is claimed by one read — the lower id if
+//     it has any candidate for the key, else the higher id.
+//   - Extend: each read runs GACT on the candidates it claimed only,
+//     so a key is extended from one side, not both.
+//
+// Extension results merge into the deduplication map on the calling
+// goroutine in read-index order, and Progress, periodic saves and the
+// cancellation save all fire from that merge, so overlaps and every
+// checkpoint are identical for any worker count. A resumed pass
+// recomputes the filter phase over all reads, so ownership — and the
+// output — match an uninterrupted run.
+//
+// ctx is checked before each read is handed to a worker; reads already
+// in flight complete. On cancellation Run returns the overlaps merged
+// so far together with ctx.Err(). Stats cover the work done by this
+// call: the filter over every read, and the extensions of the reads it
+// merged (a resumed pass does not count the pre-checkpoint
+// extensions).
 func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapStats, error) {
+	return o.run(ctx, r, runtime.NumCPU())
+}
+
+// run is Run on the given number of workers.
+func (o *Overlapper) run(ctx context.Context, r OverlapRun, workers int) ([]Overlap, OverlapStats, error) {
 	stats := OverlapStats{TableBuildTime: o.darwin.TableBuildTime}
-	var ctxErr error
 	best := map[overlapKey]Overlap{}
 	startRead := 0
 	if r.Resume != nil {
@@ -190,32 +217,162 @@ func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapS
 			startRead = r.Resume.NextRead
 		}
 		for i := range r.Resume.Overlaps {
-			ov := r.Resume.Overlaps[i]
-			k := keyOf(&ov)
-			if cur, ok := best[k]; !ok || ov.Score > cur.Score {
-				best[k] = ov
-			}
+			mergeBest(best, r.Resume.Overlaps[i])
 		}
 	}
-	minOverlap := r.MinOverlap
+	n := len(o.reads)
 	snapshot := func(nextRead int) OverlapCheckpoint {
 		return OverlapCheckpoint{NextRead: nextRead, Overlaps: collectOverlaps(best)}
 	}
-	for q := startRead; q < len(o.reads); q++ {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			// A final checkpoint at the cancellation boundary: read q has
-			// not been processed, so the interrupted pass resumes there.
-			if r.Save != nil {
-				if serr := r.Save(snapshot(q)); serr != nil {
-					ctxErr = serr
+	// cancelled ends an interrupted pass with a final checkpoint at the
+	// boundary: read next has not been merged, so the pass resumes there.
+	cancelled := func(next int) ([]Overlap, OverlapStats, error) {
+		err := ctx.Err()
+		if r.Save != nil {
+			if serr := r.Save(snapshot(next)); serr != nil {
+				err = serr
+			}
+		}
+		return collectOverlaps(best), stats, err
+	}
+	workers = min(workers, n)
+	engines, err := o.darwin.clones(workers)
+	if err != nil {
+		return nil, stats, err
+	}
+	gWorkers.Set(int64(workers))
+
+	// Filter phase: every read, including those a resume skips, since
+	// ownership depends on both sides of each pair.
+	cands := make([][2][]dsoft.Candidate, n)
+	filter := func(tid, q int) filteredRead { return o.filterRead(engines[tid-1], tid, q) }
+	filtered, _ := runOrdered(ctx, workers, 0, n, filter, func(q int, f filteredRead) error {
+		cands[q] = f.cands
+		stats.Map.add(f.stats)
+		return nil
+	})
+	if filtered < n {
+		return cancelled(startRead)
+	}
+	claimOwned(cands, o.readAt)
+
+	// Extend phase, merged in read order.
+	extend := func(tid, q int) extendedRead {
+		return o.extendRead(engines[tid-1], tid, q, cands[q], r.MinOverlap)
+	}
+	next, serr := runOrdered(ctx, workers, startRead, n, extend, func(q int, x extendedRead) error {
+		stats.Map.add(x.stats)
+		for _, ov := range x.overlaps {
+			mergeBest(best, ov)
+		}
+		cOverlapReads.Inc()
+		if r.Progress != nil {
+			r.Progress(q+1, n)
+		}
+		if r.Save != nil && r.CheckpointEvery > 0 && (q+1)%r.CheckpointEvery == 0 && q+1 < n {
+			return r.Save(snapshot(q + 1))
+		}
+		return nil
+	})
+	if serr != nil {
+		return collectOverlaps(best), stats, serr
+	}
+	if next < n {
+		return cancelled(next)
+	}
+	out := collectOverlaps(best)
+	cOverlapsOut.Add(int64(len(out)))
+	return out, stats, nil
+}
+
+// mergeBest keeps ov if it beats the key's current overlap. The strict
+// comparison keeps the first-seen overlap on a score tie, which is why
+// overlaps must merge in a fixed (read-index) order.
+func mergeBest(best map[overlapKey]Overlap, ov Overlap) {
+	k := keyOf(&ov)
+	if cur, ok := best[k]; !ok || ov.Score > cur.Score {
+		best[k] = ov
+	}
+}
+
+// filteredRead is one read's filter-phase output: per strand (forward,
+// reverse), the candidates that fall inside another read.
+type filteredRead struct {
+	cands [2][]dsoft.Candidate
+	stats MapStats
+}
+
+// filterRead runs D-SOFT on read q's two strands, dropping its trivial
+// self-hits and hits in N padding, which are never extended.
+func (o *Overlapper) filterRead(e *Darwin, tid, q int) filteredRead {
+	defer obs.Trace.StartTID("overlap.filter", tid)()
+	busy := time.Now()
+	var f filteredRead
+	for s := range f.cands {
+		cands, st := e.filterStrand(e.strand(o.reads[q], s == 1))
+		f.stats.add(st)
+		for _, c := range cands {
+			if t, _, hi := o.readWindow(c.RefPos); t != q && c.RefPos < hi {
+				f.cands[s] = append(f.cands[s], c)
+			}
+		}
+	}
+	tWorkerBusy.Observe(time.Since(busy))
+	return f
+}
+
+// claimOwned filters every read's candidates down to the ones it owns.
+// A key (lower id, higher id, orientation) is owned by the lowest read
+// id with a candidate for it: candidates for a key come only from its
+// two reads, so that is the lower id when it has one, else the higher.
+// Orientation is symmetric — the reverse complement of b aligning to a
+// is the reverse complement of a aligning to b — so either side's
+// extension finds the key's overlap.
+func claimOwned(cands [][2][]dsoft.Candidate, readAt func(int) int) {
+	owner := map[overlapKey]int{} // key → owning read id + 1
+	key := func(q, s int, c dsoft.Candidate) overlapKey {
+		t := readAt(c.RefPos)
+		return overlapKey{min(q, t), max(q, t), s == 1}
+	}
+	for q := range cands {
+		for s, cs := range cands[q] {
+			for _, c := range cs {
+				if k := key(q, s, c); owner[k] == 0 {
+					owner[k] = q + 1
 				}
 			}
-			break
 		}
-		endSpan := obs.Trace.Start("overlap.read")
-		alns, st := o.darwin.mapStrands(o.reads[q], o.readWindow, q)
-		stats.Map.add(st)
+	}
+	for q := range cands {
+		for s, cs := range cands[q] {
+			kept := cs[:0]
+			for _, c := range cs {
+				if owner[key(q, s, c)] == q+1 {
+					kept = append(kept, c)
+				}
+			}
+			cands[q][s] = kept
+		}
+	}
+}
+
+// extendedRead is one read's extend-phase output.
+type extendedRead struct {
+	overlaps []Overlap
+	stats    MapStats
+}
+
+// extendRead runs GACT from read q's owned candidates and converts the
+// alignments into overlaps of at least minOverlap target bases.
+func (o *Overlapper) extendRead(e *Darwin, tid, q int, cands [2][]dsoft.Candidate, minOverlap int) extendedRead {
+	defer obs.Trace.StartTID("overlap.read", tid)()
+	busy := time.Now()
+	var x extendedRead
+	for s, cs := range cands {
+		if len(cs) == 0 {
+			continue
+		}
+		alns := e.extendStrand(e.strand(o.reads[q], s == 1), s == 1, cs, o.readWindow, &x.stats)
 		for _, a := range alns {
 			target := o.readAt(a.Result.RefStart)
 			tStart := a.Result.RefStart - o.offsets[target]
@@ -223,7 +380,7 @@ func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapS
 			if tEnd-tStart < minOverlap {
 				continue
 			}
-			ov := Overlap{
+			x.overlaps = append(x.overlaps, Overlap{
 				Target:      target,
 				Query:       q,
 				QueryRev:    a.Reverse,
@@ -232,26 +389,11 @@ func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapS
 				QueryStart:  a.Result.QueryStart,
 				QueryEnd:    a.Result.QueryEnd,
 				Score:       a.Result.Score,
-			}
-			k := keyOf(&ov)
-			if cur, ok := best[k]; !ok || ov.Score > cur.Score {
-				best[k] = ov
-			}
-		}
-		endSpan()
-		cOverlapReads.Inc()
-		if r.Progress != nil {
-			r.Progress(q+1, len(o.reads))
-		}
-		if r.Save != nil && r.CheckpointEvery > 0 && (q+1)%r.CheckpointEvery == 0 && q+1 < len(o.reads) {
-			if serr := r.Save(snapshot(q + 1)); serr != nil {
-				return collectOverlaps(best), stats, serr
-			}
+			})
 		}
 	}
-	out := collectOverlaps(best)
-	cOverlapsOut.Add(int64(len(out)))
-	return out, stats, ctxErr
+	tWorkerBusy.Observe(time.Since(busy))
+	return x
 }
 
 // collectOverlaps flattens the deduplication map into the canonical

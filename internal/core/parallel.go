@@ -135,9 +135,9 @@ func WithDeadlinePerRead(d time.Duration) MapOption {
 }
 
 // WithProgress registers a callback invoked after each read completes
-// with (reads done so far, total reads). Calls are serialized; the
-// callback must be fast — it runs on the mapping workers' critical
-// path.
+// with (reads done so far, total reads). Calls are serialized
+// (Darwin.Map makes them in read order); the callback must be fast —
+// it runs on the mapping critical path.
 func WithProgress(fn func(done, total int)) MapOption {
 	return func(o *MapSettings) { o.Progress = fn }
 }
@@ -279,13 +279,12 @@ func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption)
 	out := make([]MapResult, len(reads))
 	prog := NewProgressSink(o.Progress, len(reads))
 	// mapOne is the per-read body both paths share: span, busy timer,
-	// guarded run, result slot and progress. tid is the worker's 1-based
-	// id, or 0 on the inline path. It returns the engine for the next
-	// read — a fresh clone when this read was abandoned, because its
-	// stray goroutine may still mutate e's scratch — or the clone's
-	// error, in which case the read is stored but not counted as
-	// progress.
-	mapOne := func(e *Darwin, i, tid int) (*Darwin, error) {
+	// guarded run and result. tid is the worker's 1-based id, or 0 on
+	// the inline path. It also returns the engine for the next read — a
+	// fresh clone when this read was abandoned, because its stray
+	// goroutine may still mutate e's scratch — or the clone's error, in
+	// which case the read is stored but not counted as progress.
+	mapOne := func(e *Darwin, i, tid int) (MapResult, *Darwin, error) {
 		if tid > 0 {
 			defer obs.Trace.StartTID("core.map_read.worker", tid)()
 		}
@@ -304,16 +303,15 @@ func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption)
 			e.engine.SetSpan(nil)
 			finishReadSpan(readSpan, busy, oc)
 		}
-		out[i] = MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
+		res := MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
 		if abandoned {
 			ne, err := d.Clone()
 			if err != nil {
-				return e, err
+				return res, nil, err
 			}
 			e = ne
 		}
-		prog.Step()
-		return e, nil
+		return res, e, nil
 	}
 	if workers <= 1 || len(reads) <= 1 {
 		// Inline: no goroutines, mapping on the receiver itself.
@@ -324,53 +322,120 @@ func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption)
 				return nil, err
 			}
 			var err error
-			if e, err = mapOne(e, i, 0); err != nil {
+			if out[i], e, err = mapOne(e, i, 0); err != nil {
 				return nil, err
 			}
+			prog.Step()
 		}
 		return out, nil
 	}
 	gWorkers.Set(int64(workers))
-	engines := make([]*Darwin, workers)
-	for w := range engines {
+	engines, err := d.clones(workers)
+	if err != nil {
+		return nil, err
+	}
+	type mapped struct {
+		res MapResult
+		err error
+	}
+	// A worker whose replacement clone failed maps nothing more; the
+	// failure stops the pool when its read merges.
+	cloneErrs := make([]error, workers)
+	_, err = runOrdered(ctx, workers, 0, len(reads), func(tid, i int) mapped {
+		if err := cloneErrs[tid-1]; err != nil {
+			return mapped{MapResult{Index: i}, err}
+		}
+		var m mapped
+		m.res, engines[tid-1], cloneErrs[tid-1] = mapOne(engines[tid-1], i, tid)
+		m.err = cloneErrs[tid-1]
+		return m
+	}, func(i int, m mapped) error {
+		out[i] = m.res
+		if m.err != nil {
+			return m.err
+		}
+		prog.Step()
+		return nil
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// clones returns n clones of d, one per pool worker.
+func (d *Darwin) clones(n int) ([]*Darwin, error) {
+	es := make([]*Darwin, n)
+	for w := range es {
 		e, err := d.Clone()
 		if err != nil {
 			return nil, err
 		}
-		engines[w] = e
+		es[w] = e
 	}
-	workerErrs := make([]error, workers)
+	return es, nil
+}
+
+// runOrdered is the package's worker pool. It runs work(tid, i) for
+// every i in [from, to) on workers goroutines (tid is the worker's
+// 1-based id, so work can keep per-worker state such as an engine
+// clone in a slice indexed by tid-1) and hands each result to merge on
+// the calling goroutine in index order. Results that finish ahead of a
+// slower lower index wait in memory until it merges. No index is
+// handed out once ctx is cancelled or merge has failed; indices in
+// flight complete and merge if every lower one did. It returns the
+// first index not merged and merge's error.
+func runOrdered[T any](ctx context.Context, workers, from, to int, work func(tid, i int) T, merge func(i int, v T) error) (int, error) {
+	type done struct {
+		i int
+		v T
+	}
+	idx := make(chan int)
+	// One slot per worker, so a worker never waits on the merge to hand
+	// off a finished result.
+	res := make(chan done, workers)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w <= workers; w++ {
 		wg.Add(1)
-		go func(e *Darwin, tid int) {
+		go func(tid int) {
 			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil || workerErrs[tid-1] != nil {
-					continue // drain remaining indices without mapping
-				}
-				e, workerErrs[tid-1] = mapOne(e, i, tid)
+			for i := range idx {
+				res <- done{i, work(tid, i)}
 			}
-		}(engines[w], w+1)
+		}(w)
 	}
-feed:
-	for i := range reads {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+	go func() {
+		defer close(idx)
+		for i := from; i < to && ctx.Err() == nil; i++ {
+			select {
+			case idx <- i:
+			case <-ctx.Done():
+				return
+			case <-stop:
+				return
+			}
+		}
+	}()
+	go func() {
+		wg.Wait()
+		close(res)
+	}()
+	next := from
+	pending := map[int]T{}
+	var err error
+	for d := range res {
+		pending[d.i] = d.v
+		for v, ok := pending[next]; ok && err == nil; v, ok = pending[next] {
+			delete(pending, next)
+			if err = merge(next, v); err != nil {
+				close(stop)
+			}
+			next++
 		}
 	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range workerErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return next, err
 }

@@ -17,7 +17,7 @@ import (
 // atomically via temp-file + rename — the indexfile idiom):
 //
 //	[0:4)   magic "DWCP"
-//	[4:8)   version u32 (currently 1)
+//	[4:8)   version u32 (currently 2)
 //	[8:16)  reads fingerprint u64 — FNV-64a over the length-prefixed
 //	        read set, so a checkpoint can never resume a different
 //	        payload
@@ -26,9 +26,17 @@ import (
 //	then count records of 8 u64/i64 fields each
 //	        (target, query, rev, tStart, tEnd, qStart, qEnd, score)
 //	last 4  CRC-32C (Castagnoli) over bytes [4 : len−4)
+//
+// The layout has not changed since version 1; the version bump records
+// a change in what the records mean. Version 1 overlaps were extended
+// from both reads of a pair, version 2 from the one read that owns
+// the pair (core.Overlapper.Run). A resume mixes the checkpoint's
+// overlaps with newly extended ones, so a version 1 file resumed by
+// this code would match neither version's uninterrupted run; it is
+// refused as bad_version instead.
 const (
 	ckptMagic   = "DWCP"
-	ckptVersion = 1
+	ckptVersion = 2
 	ckptHdrLen  = 32
 	ckptRecLen  = 64
 )
@@ -43,6 +51,7 @@ const (
 	CodeTruncated        = "truncated"
 	CodeChecksumMismatch = "checksum_mismatch"
 	CodePayloadMismatch  = "payload_mismatch"
+	CodeInvalidStructure = "invalid_structure"
 )
 
 // CheckpointError is a structured checkpoint rejection: a stable Code
@@ -84,6 +93,32 @@ func ReadsFingerprint(reads []dna.Seq) uint64 {
 // WriteCheckpoint atomically persists an overlap checkpoint bound to
 // the given read fingerprint.
 func WriteCheckpoint(path string, fingerprint uint64, c core.OverlapCheckpoint) error {
+	buf := encodeCheckpoint(fingerprint, c)
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err = tmp.Write(buf); err != nil {
+		return err
+	}
+	if err = tmp.Sync(); err != nil {
+		return err
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
+// encodeCheckpoint lays out a checkpoint file's bytes.
+func encodeCheckpoint(fingerprint uint64, c core.OverlapCheckpoint) []byte {
 	buf := make([]byte, ckptHdrLen+ckptRecLen*len(c.Overlaps)+4)
 	copy(buf[0:4], ckptMagic)
 	le := binary.LittleEndian
@@ -109,38 +144,24 @@ func WriteCheckpoint(path string, fingerprint uint64, c core.OverlapCheckpoint) 
 		}
 	}
 	le.PutUint32(buf[off:off+4], crc32.Checksum(buf[4:off], castagnoli))
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(buf); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return buf
 }
 
 // ReadCheckpoint loads and verifies a checkpoint: magic, version,
-// CRC-32C, and the binding to the caller's read fingerprint. Failures
-// are structured CheckpointErrors.
-func ReadCheckpoint(path string, fingerprint uint64) (*core.OverlapCheckpoint, error) {
+// CRC-32C, the binding to the caller's read fingerprint, and then its
+// structure against readLens, the lengths of the reads it resumes (see
+// checkStructure). Failures are structured CheckpointErrors.
+func ReadCheckpoint(path string, fingerprint uint64, readLens []int) (*core.OverlapCheckpoint, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return decodeCheckpoint(path, buf, fingerprint, readLens)
+}
+
+// decodeCheckpoint is ReadCheckpoint over the file's bytes; path only
+// labels errors.
+func decodeCheckpoint(path string, buf []byte, fingerprint uint64, readLens []int) (*core.OverlapCheckpoint, error) {
 	if len(buf) < 4 || string(buf[0:4]) != ckptMagic {
 		return nil, ckptErr(CodeBadMagic, path, "not a checkpoint file")
 	}
@@ -189,5 +210,37 @@ func ReadCheckpoint(path string, fingerprint uint64) (*core.OverlapCheckpoint, e
 		ov.QueryEnd = int(f())
 		ov.Score = int(f())
 	}
+	if detail := checkStructure(c, readLens); detail != "" {
+		return nil, ckptErr(CodeInvalidStructure, path, "%s", detail)
+	}
 	return c, nil
+}
+
+// checkStructure range-checks a decoded checkpoint against the read
+// lengths it resumes, returning what is wrong or "". A CRC only proves
+// the bytes are the ones written; these checks keep a file written for
+// another read set, or crafted, from indexing past the read arrays the
+// resumed pass and layout use.
+func checkStructure(c *core.OverlapCheckpoint, readLens []int) string {
+	n := len(readLens)
+	if c.NextRead < 0 || c.NextRead > n {
+		return fmt.Sprintf("next read %d outside [0, %d]", c.NextRead, n)
+	}
+	span := func(read, start, end int) bool {
+		return 0 <= start && start <= end && end <= readLens[read]
+	}
+	for i := range c.Overlaps {
+		ov := &c.Overlaps[i]
+		switch {
+		case ov.Target < 0 || ov.Target >= n || ov.Query < 0 || ov.Query >= n:
+			return fmt.Sprintf("overlap %d: reads (%d, %d) outside [0, %d)", i, ov.Target, ov.Query, n)
+		case ov.Target == ov.Query:
+			return fmt.Sprintf("overlap %d: read %d overlaps itself", i, ov.Target)
+		case !span(ov.Target, ov.TargetStart, ov.TargetEnd):
+			return fmt.Sprintf("overlap %d: target span [%d, %d) outside read %d of %d bases", i, ov.TargetStart, ov.TargetEnd, ov.Target, readLens[ov.Target])
+		case !span(ov.Query, ov.QueryStart, ov.QueryEnd):
+			return fmt.Sprintf("overlap %d: query span [%d, %d) outside read %d of %d bases", i, ov.QueryStart, ov.QueryEnd, ov.Query, readLens[ov.Query])
+		}
+	}
+	return ""
 }

@@ -22,6 +22,10 @@ func testCheckpoint() core.OverlapCheckpoint {
 	}
 }
 
+// testReadLens is a read set testCheckpoint fits: 8 reads of 1000
+// bases.
+var testReadLens = []int{1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "checkpoint.dwc")
 	want := testCheckpoint()
@@ -29,7 +33,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := WriteCheckpoint(path, fp, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(path, fp)
+	got, err := ReadCheckpoint(path, fp, testReadLens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func TestCheckpointEmptyOverlaps(t *testing.T) {
 	if err := WriteCheckpoint(path, 1, core.OverlapCheckpoint{NextRead: 3}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(path, 1)
+	got, err := ReadCheckpoint(path, 1, testReadLens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +86,9 @@ func TestCheckpointCorruption(t *testing.T) {
 	}{
 		{"bad magic", func(d []byte) []byte { d[0] ^= 0xFF; return d }, 42, CodeBadMagic},
 		{"bad version", func(d []byte) []byte { d[4] = 99; return d }, 42, CodeBadVersion},
+		// Version 1 records were extended from both reads of a pair; a
+		// resume would mix them with pair-once extensions.
+		{"version 1", func(d []byte) []byte { d[4] = 1; return d }, 42, CodeBadVersion},
 		{"truncated header", func(d []byte) []byte { return d[:10] }, 42, CodeTruncated},
 		{"truncated records", func(d []byte) []byte { return d[:len(d)-20] }, 42, CodeTruncated},
 		{"payload bit flip", func(d []byte) []byte { d[40] ^= 0x01; return d }, 42, CodeChecksumMismatch},
@@ -93,7 +100,7 @@ func TestCheckpointCorruption(t *testing.T) {
 			if err := os.WriteFile(path, tc.mutate(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := ReadCheckpoint(path, tc.fp)
+			_, err := ReadCheckpoint(path, tc.fp, testReadLens)
 			if err == nil {
 				t.Fatal("corrupt checkpoint read back clean")
 			}
@@ -127,10 +134,57 @@ func TestCheckpointCraftedCount(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadCheckpoint(path, fp)
+	_, err := ReadCheckpoint(path, fp, testReadLens)
 	var ce *CheckpointError
 	if !errors.As(err, &ce) || ce.Code != CodeTruncated {
 		t.Fatalf("ReadCheckpoint = %v, want code %s", err, CodeTruncated)
+	}
+}
+
+// TestCheckpointInvalidStructure: a checkpoint whose CRC and
+// fingerprint verify but whose records do not fit the read set is
+// rejected as invalid_structure.
+func TestCheckpointInvalidStructure(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(c *core.OverlapCheckpoint)
+	}{
+		{"next read past the reads", func(c *core.OverlapCheckpoint) { c.NextRead = 9 }},
+		{"negative next read", func(c *core.OverlapCheckpoint) { c.NextRead = -1 }},
+		{"target out of range", func(c *core.OverlapCheckpoint) { c.Overlaps[0].Target = 8 }},
+		{"negative query", func(c *core.OverlapCheckpoint) { c.Overlaps[1].Query = -3 }},
+		{"self overlap", func(c *core.OverlapCheckpoint) { c.Overlaps[0].Query = c.Overlaps[0].Target }},
+		{"target end past read", func(c *core.OverlapCheckpoint) { c.Overlaps[0].TargetEnd = 1001 }},
+		{"target start after end", func(c *core.OverlapCheckpoint) { c.Overlaps[0].TargetStart = 901 }},
+		{"negative query start", func(c *core.OverlapCheckpoint) { c.Overlaps[1].QueryStart = -1 }},
+		{"query end past read", func(c *core.OverlapCheckpoint) { c.Overlaps[1].QueryEnd = 1 << 40 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCheckpoint()
+			tc.mutate(&c)
+			path := filepath.Join(t.TempDir(), "checkpoint.dwc")
+			if err := WriteCheckpoint(path, 42, c); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadCheckpoint(path, 42, testReadLens)
+			var ce *CheckpointError
+			if !errors.As(err, &ce) || ce.Code != CodeInvalidStructure {
+				t.Fatalf("ReadCheckpoint = %v, want code %s", err, CodeInvalidStructure)
+			}
+		})
+	}
+	// The bounds are inclusive where they should be: a span covering a
+	// whole read and a pass that has finished every read both load.
+	c := testCheckpoint()
+	c.NextRead = len(testReadLens)
+	c.Overlaps[0].TargetStart, c.Overlaps[0].TargetEnd = 0, 1000
+	path := filepath.Join(t.TempDir(), "checkpoint.dwc")
+	if err := WriteCheckpoint(path, 42, c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(path, 42, testReadLens); err != nil {
+		t.Fatalf("boundary checkpoint rejected: %v", err)
 	}
 }
 

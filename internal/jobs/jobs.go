@@ -426,7 +426,11 @@ func (m *Manager) Recover() (restarted int, err error) {
 		var resume *core.OverlapCheckpoint
 		ckptPath := filepath.Join(m.dirOf(id), "checkpoint.dwc")
 		if _, serr := os.Stat(ckptPath); serr == nil {
-			c, cerr := ReadCheckpoint(ckptPath, j.fingerprint)
+			readLens := make([]int, len(j.reads))
+			for i, r := range j.reads {
+				readLens[i] = len(r)
+			}
+			c, cerr := ReadCheckpoint(ckptPath, j.fingerprint, readLens)
 			if cerr != nil {
 				cCkptCorrupt.Inc()
 				m.failJob(j, cerr, "checkpoint_corrupt")

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/genome"
 	"darwin/internal/readsim"
@@ -364,6 +365,45 @@ func TestRecoverCorruptCheckpoint(t *testing.T) {
 	}
 	if fin.ErrorCode != "checkpoint_corrupt" {
 		t.Errorf("error code = %q, want checkpoint_corrupt", fin.ErrorCode)
+	}
+}
+
+// TestRecoverRejectsOutOfRangeCheckpoint: a checkpoint with a valid
+// CRC and fingerprint whose overlap names a read past the read set
+// must fail the job as checkpoint_corrupt. Unchecked, its complete
+// pass skips the overlap stage and layout indexes past its arrays,
+// panicking the process.
+func TestRecoverRejectsOutOfRangeCheckpoint(t *testing.T) {
+	recs := testRecords(t, 30)
+	dir := t.TempDir()
+	m1 := newTestManager(t, dir, 4)
+	st, err := m1.Submit(KindAssemble, recs, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	reads := make([]dna.Seq, len(recs))
+	for i := range recs {
+		reads[i] = recs[i].Seq
+	}
+	crafted := core.OverlapCheckpoint{
+		NextRead: len(reads),
+		Overlaps: []core.Overlap{{Target: len(reads) + 5, Query: 0, TargetStart: 0, TargetEnd: 500, QueryStart: 0, QueryEnd: 500, Score: 400}},
+	}
+	if err := WriteCheckpoint(filepath.Join(dir, st.ID, "checkpoint.dwc"), ReadsFingerprint(reads), crafted); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := newTestManager(t, dir, 4)
+	defer m2.Drain(context.Background())
+	if _, err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	fin := waitState(t, m2, st.ID, time.Minute)
+	if fin.State != StateFailed || fin.ErrorCode != "checkpoint_corrupt" {
+		t.Fatalf("state %s, error code %q (%s); want failed, checkpoint_corrupt", fin.State, fin.ErrorCode, fin.Error)
 	}
 }
 

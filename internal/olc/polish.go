@@ -25,8 +25,12 @@ var tPolish = obs.Default.Timer("olc/polish")
 // raw read rate (~15% for PacBio) to well under 1%, mirroring the
 // consensus-accuracy argument of Section 2.
 //
-// ctx is checked between reads (each read's remap is the unit of
-// work), and cancellation returns ctx.Err() with a nil sequence.
+// Reads are mapped in parallel, one worker per CPU (core.Darwin.Map),
+// and their alignments vote in read order; votes are order-free sums,
+// so the polished sequence does not depend on the worker count. ctx is
+// checked between reads (each read's remap is the unit of work), and
+// cancellation returns ctx.Err() with a nil sequence, as does a read
+// whose mapping failed (its MapResult.Err).
 func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core.Config) (dna.Seq, error) {
 	defer tPolish.Time()()
 	defer obs.Trace.Start("olc.polish")()
@@ -43,18 +47,21 @@ func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core
 	}
 	cols := make([]column, len(draft))
 
-	for _, read := range reads {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	mapped, err := engine.Map(ctx, reads)
+	if err != nil {
+		return nil, err
+	}
+	for ri, m := range mapped {
+		if m.Err != nil {
+			return nil, m.Err
 		}
-		alns, _ := engine.MapRead(read)
-		best := core.Best(alns)
+		best := core.Best(m.Alignments)
 		if best == nil {
 			continue
 		}
-		q := read
+		q := reads[ri]
 		if best.Reverse {
-			q = dna.RevComp(read)
+			q = dna.RevComp(q)
 		}
 		i, j := best.Result.RefStart, best.Result.QueryStart
 		for _, s := range best.Result.Cigar {

@@ -2,6 +2,8 @@ package olc
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"darwin/internal/align"
@@ -101,5 +103,56 @@ func TestPolishPreservesPerfectDraft(t *testing.T) {
 func TestPolishErrors(t *testing.T) {
 	if _, err := PolishContext(context.Background(), nil, nil, core.DefaultConfig(11, 600, 20)); err == nil {
 		t.Error("empty draft should error")
+	}
+}
+
+// polishFixtureSHA256 is the sha256 of TestPolishOutputPinned's
+// polished contig as computed by the serial, one-read-at-a-time polish
+// this package used before reads were mapped in parallel. Votes are
+// order-free sums, so parallel mapping must reproduce it byte for byte.
+const polishFixtureSHA256 = "e7ebee4f540211f5b6b0f7bc36046e8c1b12aaef9520a6dc368d83d44425edf3"
+
+// TestPolishOutputPinned: a draft carrying deterministic substitutions,
+// deletions and insertions, polished over 10× PacBio reads, must give
+// the pinned bytes.
+func TestPolishOutputPinned(t *testing.T) {
+	g, err := genome.Generate(genome.Config{Length: 12000, GC: 0.45, Seed: 175})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, err := readsim.Simulate(g.Seq, readsim.Config{
+		Profile: readsim.PacBio, MeanLen: 2000, Coverage: 10, Seed: 176,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([]dna.Seq, len(reads))
+	for i := range reads {
+		seqs[i] = reads[i].Seq
+	}
+	var draft dna.Seq
+	for i, b := range g.Seq {
+		switch {
+		case i%97 == 0:
+			continue // deletion
+		case i%61 == 0:
+			b = dna.Base(3 - dna.Code(b)) // substitution
+		case i%83 == 0:
+			draft = append(draft, 'A') // insertion before b
+		}
+		draft = append(draft, b)
+	}
+	polished, err := PolishContext(context.Background(), draft, seqs, core.DefaultConfig(11, 700, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := align.EditDistance(g.Seq, draft, align.EditGlobal)
+	after, _ := align.EditDistance(g.Seq, polished, align.EditGlobal)
+	if after >= before {
+		t.Fatalf("fixture: polish left %d of %d draft edits", after, before)
+	}
+	sum := sha256.Sum256(polished)
+	if got := hex.EncodeToString(sum[:]); got != polishFixtureSHA256 {
+		t.Errorf("polished contig sha256 %s, want %s", got, polishFixtureSHA256)
 	}
 }

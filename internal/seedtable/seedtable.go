@@ -290,6 +290,11 @@ func (t *Table) forEachStored(ref dna.Seq, fn func(code uint32, pos int)) {
 }
 
 // buildDense uses a two-pass counting sort into a 4^k+1 pointer table.
+// The pointer array doubles as the fill cursor: after the prefix sum
+// counts[c] is code c's start, the fill pass advances it to c's end
+// (= c+1's start), and one shift by a slot restores the starts. Masked
+// seeds are remembered in a 4^k-bit set, so the build's only 4^k-sized
+// allocation is the pointer array it returns.
 func (t *Table) buildDense(ref dna.Seq) {
 	n := dna.NumSeeds(t.k)
 	counts := make([]uint32, n+1)
@@ -299,38 +304,41 @@ func (t *Table) buildDense(ref dna.Seq) {
 	// Mask high-frequency seeds by zeroing their counts: seeds in the
 	// precomputed global set when one was supplied, else seeds whose
 	// local count crosses the threshold.
+	masked := make([]uint64, (n+63)/64)
+	maskCode := func(code int) {
+		t.maskedSeeds++
+		t.maskedHits += int(counts[code+1])
+		counts[code+1] = 0
+		masked[code/64] |= 1 << (code % 64)
+	}
 	switch {
 	case t.mask != nil:
 		for code := range t.mask.codes {
 			if int(code)+1 <= n && counts[code+1] > 0 {
-				t.maskedSeeds++
-				t.maskedHits += int(counts[code+1])
-				counts[code+1] = 0
+				maskCode(int(code))
 			}
 		}
 	case t.maskMax > 0:
 		for c := 1; c <= n; c++ {
 			if int(counts[c]) > t.maskMax {
-				t.maskedSeeds++
-				t.maskedHits += int(counts[c])
-				counts[c] = 0
+				maskCode(c - 1)
 			}
 		}
 	}
 	for c := 1; c <= n; c++ {
 		counts[c] += counts[c-1]
 	}
-	t.ptr = counts
-	t.pos = make([]uint32, t.ptr[n])
-	fill := make([]uint32, n)
-	copy(fill, t.ptr[:n])
+	t.pos = make([]uint32, counts[n])
 	t.forEachStored(ref, func(code uint32, i int) {
-		if t.ptr[code+1] == t.ptr[code] {
-			return // masked (or impossible) seed
+		if masked[code/64]&(1<<(code%64)) != 0 {
+			return // masked seed
 		}
-		t.pos[fill[code]] = uint32(i)
-		fill[code]++
+		t.pos[counts[code]] = uint32(i)
+		counts[code]++
 	})
+	copy(counts[1:], counts[:n])
+	counts[0] = 0
+	t.ptr = counts
 }
 
 // buildSparse sorts (code, position) pairs packed into uint64s and
